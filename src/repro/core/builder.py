@@ -482,7 +482,16 @@ def specialize_template(
 
     _add_schedule_arcs(template, architecture, graph)
     graph.validate()
+    return _template_spec(template, architecture, graph, resource_of)
 
+
+def _template_spec(
+    template: EquivalentModelTemplate,
+    architecture: ArchitectureModel,
+    graph: TemporalDependencyGraph,
+    resource_of: Mapping[str, str],
+) -> EquivalentModelSpec:
+    """The spec of ``template`` specialised into ``graph``, execute steps on ``resource_of``."""
     execute_nodes = [
         ExecuteNodes(
             function=slot.function,

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..archmodel.architecture import ArchitectureModel
@@ -72,13 +72,14 @@ from ..archmodel.workload import (
 from ..campaign.spec import canonical_json
 from ..core.builder import (
     _check_resource_isolation,
+    _template_spec,
     add_resource_schedule_arcs,
     build_template,
     scheduled_resource_entries,
     specialize_template,
 )
 from ..core.compute import InstantComputer
-from ..core.spec import EquivalentModelSpec, ExecuteNodes
+from ..core.spec import EquivalentModelSpec
 from ..tdg.arc import DependencyArc
 from ..environment.stimulus import Stimulus
 from ..errors import ModelError, ReproError
@@ -86,6 +87,7 @@ from .engine import (
     _TabulatedWeight,
     _TokenTable,
     LoweringUnsupported,
+    ProgramResult,
     lower_spec,
     replay_batch,
     resolve_backend,
@@ -93,8 +95,9 @@ from .engine import (
 from .evaluate import (
     EVALUATOR_MODES,
     CandidateEvaluation,
+    _check_evaluator,
+    _evaluate_from_scratch,
     _record_evaluation,
-    evaluate_mapping,
     per_kind_summary,
 )
 from .problems import DesignProblem, get_problem
@@ -277,11 +280,7 @@ class CompiledProblem:
                 if arc.target.name == target and arc.delay == delay and arc.label == label:
                     slot_arcs[slot] = arc
                     break
-        entry_map = scheduled_resource_entries(self.template, spec.architecture)
-        schedules = {
-            name: (concurrency, tuple((e.function, e.step_index) for e in entries))
-            for name, (concurrency, entries) in entry_map.items()
-        }
+        schedules = _service_orders(scheduled_resource_entries(self.template, spec.architecture))
         resource_of = {
             function: spec.architecture.mapping.resource_of(function)
             for function in self.template.abstracted_functions
@@ -317,10 +316,7 @@ class CompiledProblem:
             _check_resource_isolation(architecture, set(self.template.abstracted_functions))
             overrides = self._candidate_overrides(candidate)
             entry_map = scheduled_resource_entries(self.template, architecture)
-            new_schedules = {
-                name: (concurrency, tuple((e.function, e.step_index) for e in entries))
-                for name, (concurrency, entries) in entry_map.items()
-            }
+            new_schedules = _service_orders(entry_map)
 
             graph = delta.spec.graph
             arcs_before = graph.arc_count
@@ -373,28 +369,7 @@ class CompiledProblem:
             )
             telemetry.count("dse.compile.delta_arcs_rebuilt", removed + added + swapped)
 
-            execute_nodes = [
-                ExecuteNodes(
-                    function=slot.function,
-                    step_index=slot.step_index,
-                    label=slot.label,
-                    resource=resource_of[slot.function],
-                    start_node=slot.start_node,
-                    end_node=slot.end_node,
-                    workload=slot.workload,
-                )
-                for slot in self.template.execute_slots
-            ]
-            spec = EquivalentModelSpec(
-                architecture=architecture,
-                graph=graph,
-                abstracted_functions=self.template.abstracted_functions,
-                boundary_inputs=list(self.template.boundary_inputs),
-                boundary_outputs=list(self.template.boundary_outputs),
-                execute_nodes=execute_nodes,
-                relation_nodes=dict(self.template.relation_nodes),
-                primary_input=self.template.primary_input,
-            )
+            spec = _template_spec(self.template, architecture, graph, resource_of)
             delta.spec = spec
             delta.resource_of = resource_of
             delta.schedules = new_schedules
@@ -402,6 +377,8 @@ class CompiledProblem:
             delta.overrides = overrides
             return spec
 
+    # ------------------------------------------------------------------
+    # the evaluation ladder: _prepare -> run -> _finish
     # ------------------------------------------------------------------
     def evaluate(
         self, candidate: MappingCandidate, evaluator: str = "replay"
@@ -413,81 +390,14 @@ class CompiledProblem:
         when the problem admits it (and fall back to replay when it does not).
         All modes produce bit-identical objectives.
         """
-        if evaluator not in EVALUATOR_MODES:
-            raise ModelError(
-                f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
-            )
+        _check_evaluator(evaluator)
         start = time.perf_counter()
-        try:
-            spec = self._specialize_for_evaluation(candidate)
-            missing = {b.relation for b in spec.boundary_inputs} - set(self.stimuli)
-            if missing:
-                raise ModelError(
-                    f"missing stimuli for external inputs: {sorted(missing)}"
-                )
-            computer = InstantComputer(spec, record_usage=True)
-        except ReproError as error:
-            return _record_evaluation(
-                CandidateEvaluation(
-                    candidate=candidate,
-                    infeasible=f"{type(error).__name__}: {error}",
-                    wall_seconds=time.perf_counter() - start,
-                )
-            )
+        prepared = self._prepare(candidate, evaluator, start, "python")
+        if isinstance(prepared, CandidateEvaluation):
+            return prepared
+        spec, steady = prepared
+        return self._walk_graph(candidate, spec, steady, start, "python")
 
-        steady = False
-        if evaluator != "replay":
-            reason = self._steady_gate(spec)
-            if reason is None:
-                steady = True
-            else:
-                # The steady certificate cannot hold (aperiodic inputs or
-                # iteration-dependent durations): score by plain replay.
-                telemetry.count("dse.steady.fallbacks")
-                telemetry.count(f"dse.steady.fallback.{reason}")
-
-        try:
-            if steady:
-                with telemetry.span("dse.compile.steady", category="dse"):
-                    run = self._run_steady(spec, computer)
-            else:
-                with telemetry.span("dse.compile.replay", category="dse"):
-                    run = self._run(spec, computer)
-                    if run is not None:
-                        telemetry.count("dse.compile.replay_steps", run[2])
-        except ReproError as error:
-            # Mirror of evaluate_mapping wrapping model.run(): a workload or
-            # computation failure is an infeasibility fact, not a crash.
-            return _record_evaluation(
-                CandidateEvaluation(
-                    candidate=candidate,
-                    infeasible=f"{type(error).__name__}: {error}",
-                    wall_seconds=time.perf_counter() - start,
-                )
-            )
-        if run is None:
-            # An output would be accepted later than computed (boundary
-            # feedback): replay through the exact event-driven harness
-            # (which records its own evaluation telemetry).
-            telemetry.count("dse.compile.explicit_fallbacks")
-            return self._explicit_fallback(candidate)
-        offers, actual, iterations = run
-        return _record_evaluation(
-            self._assemble(
-                candidate,
-                spec,
-                computer.usage_instants(),
-                offers,
-                actual,
-                iterations,
-                start,
-                evaluator="steady" if steady else "replay",
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # batched array evaluation
-    # ------------------------------------------------------------------
     def evaluate_batch(
         self,
         candidates: Sequence[MappingCandidate],
@@ -508,139 +418,58 @@ class CompiledProblem:
         * ``"steady"``/``"auto"`` candidates whose certificate holds take
           the (already certified, per-candidate) steady path;
         * candidates whose spec refuses to lower (context-dependent
-          weights) replay on the object graph; candidates whose outputs
-          need boundary feedback fall back to explicit simulation --
-          exactly the cases :meth:`evaluate` falls back on.
+          weights) or whose outputs need boundary feedback are scored by
+          explicit simulation.
 
         ``backend`` is ``"python"``/``"numpy"``/``"auto"``/``None``
-        (see :func:`repro.dse.engine.resolve_backend`).  Reported
-        ``wall_seconds`` of batch-swept candidates spans from their
-        specialisation through the shared sweep; it is provenance, not an
-        objective.
+        (see :func:`repro.dse.engine.resolve_backend`).  Each candidate's
+        ``wall_seconds`` is its own work -- specialisation, lowering and
+        objective extraction -- plus an equal share of the shared sweep, so
+        the values of one batch sum to at most the batch's wall time; it is
+        provenance, not an objective.
         """
-        if evaluator not in EVALUATOR_MODES:
-            raise ModelError(
-                f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
-            )
+        _check_evaluator(evaluator)
         backend = resolve_backend(backend)
         candidates = list(candidates)
         results: List[Optional[CandidateEvaluation]] = [None] * len(candidates)
-        pending: List[Tuple[int, MappingCandidate, EquivalentModelSpec, float]] = []
+        # swept lanes: (position, candidate, spec, seconds of own work so far)
+        lanes: List[Tuple[int, MappingCandidate, EquivalentModelSpec, float]] = []
         programs: List[Any] = []
         stream_cache: Dict[Any, List[int]] = {}
-
-        def infeasible(candidate: MappingCandidate, error: ReproError, start: float):
-            # Infeasibility is decided during specialisation, before any
-            # sweep, but the record still carries the batch's backend: it
-            # was scored under that backend request, and a mixed-backend
-            # store should only be reported when sweeps actually mixed.
-            return _record_evaluation(
-                CandidateEvaluation(
-                    candidate=candidate,
-                    infeasible=f"{type(error).__name__}: {error}",
-                    wall_seconds=time.perf_counter() - start,
-                    backend=backend,
-                )
-            )
-
         for position, candidate in enumerate(candidates):
             start = time.perf_counter()
-            try:
-                spec = self._specialize_for_evaluation(candidate)
-                missing = {b.relation for b in spec.boundary_inputs} - set(self.stimuli)
-                if missing:
-                    raise ModelError(
-                        f"missing stimuli for external inputs: {sorted(missing)}"
-                    )
-            except ReproError as error:
-                results[position] = infeasible(candidate, error, start)
+            prepared = self._prepare(candidate, evaluator, start, backend)
+            if isinstance(prepared, CandidateEvaluation):
+                results[position] = prepared
                 continue
-
-            if evaluator != "replay":
-                reason = self._steady_gate(spec)
-                if reason is None:
-                    # The steady certificate holds: extrapolate per candidate
-                    # (already certified bit-identical to full replay).
-                    try:
-                        computer = InstantComputer(spec, record_usage=True)
-                        with telemetry.span("dse.compile.steady", category="dse"):
-                            run = self._run_steady(spec, computer)
-                    except ReproError as error:
-                        results[position] = infeasible(candidate, error, start)
-                        continue
-                    if run is None:
-                        telemetry.count("dse.compile.explicit_fallbacks")
-                        results[position] = self._explicit_fallback(candidate)
-                        continue
-                    offers, actual, iterations = run
-                    results[position] = _record_evaluation(
-                        self._assemble(
-                            candidate,
-                            spec,
-                            computer.usage_instants(),
-                            offers,
-                            actual,
-                            iterations,
-                            start,
-                            evaluator="steady",
-                            backend=backend,
-                        )
-                    )
-                    continue
-                telemetry.count("dse.steady.fallbacks")
-                telemetry.count(f"dse.steady.fallback.{reason}")
-
-            iterations = min(
-                len(self.stimuli[b.relation]) for b in spec.boundary_inputs
-            )
+            spec, steady = prepared
+            if steady:
+                # The certificate can hold: extrapolate per candidate
+                # (certified bit-identical to the swept replay).
+                results[position] = self._walk_graph(candidate, spec, True, start, backend)
+                continue
+            iterations = min(len(self.stimuli[b.relation]) for b in spec.boundary_inputs)
             try:
-                program = lower_spec(
-                    spec, self.stimuli, iterations, stream_cache=stream_cache
+                programs.append(
+                    lower_spec(spec, self.stimuli, iterations, stream_cache=stream_cache)
                 )
             except LoweringUnsupported as gate:
-                # Context-dependent weights the tables cannot hold: replay
-                # this candidate on the object graph (same instants).
+                # Context-dependent weights the tables cannot hold.
                 telemetry.count("dse.engine.lower_fallbacks")
                 telemetry.count(f"dse.engine.lower_fallback.{gate.reason}")
-                try:
-                    computer = InstantComputer(spec, record_usage=True)
-                    with telemetry.span("dse.compile.replay", category="dse"):
-                        run = self._run(spec, computer)
-                        if run is not None:
-                            telemetry.count("dse.compile.replay_steps", run[2])
-                except ReproError as error:
-                    results[position] = infeasible(candidate, error, start)
-                    continue
-                if run is None:
-                    telemetry.count("dse.compile.explicit_fallbacks")
-                    results[position] = self._explicit_fallback(candidate)
-                    continue
-                offers, actual, run_iterations = run
-                results[position] = _record_evaluation(
-                    self._assemble(
-                        candidate,
-                        spec,
-                        computer.usage_instants(),
-                        offers,
-                        actual,
-                        run_iterations,
-                        start,
-                        evaluator="replay",
-                        backend=backend,
-                    )
-                )
+                results[position] = self._explicit_fallback(candidate)
                 continue
             except ReproError as error:
                 # Lowering surfaces the same failures the replay would
                 # (invalid workload durations, delay-0 ready arcs).
-                results[position] = infeasible(candidate, error, start)
+                results[position] = self._finish(candidate, spec, error, start, False, backend)
                 continue
-            pending.append((position, candidate, spec, start))
-            programs.append(program)
+            lanes.append((position, candidate, spec, time.perf_counter() - start))
 
         if programs:
+            sweep_start = time.perf_counter()
             with telemetry.span(
-                "dse.engine.batch",
+                "dse.compile.replay",
                 category="dse",
                 args={"backend": backend, "size": len(programs)},
             ):
@@ -649,45 +478,111 @@ class CompiledProblem:
                 "dse.compile.replay_steps",
                 sum(program.iterations for program in programs),
             )
-            for (position, candidate, spec, start), program, run in zip(
-                pending, programs, runs
-            ):
+            share = (time.perf_counter() - sweep_start) / len(programs)
+            for (position, candidate, spec, own), run in zip(lanes, runs):
                 if run is None:
-                    # An output would be accepted later than computed
-                    # (boundary feedback): same explicit fallback as
-                    # :meth:`evaluate`.
-                    telemetry.count("dse.compile.explicit_fallbacks")
                     telemetry.count("dse.engine.replay_fallbacks")
-                    results[position] = self._explicit_fallback(candidate)
-                    continue
-                offers, actual, usage = run
-                results[position] = _record_evaluation(
-                    self._assemble(
-                        candidate,
-                        spec,
-                        usage,
-                        offers,
-                        actual,
-                        program.iterations,
-                        start,
-                        evaluator="replay",
-                        backend=backend,
-                    )
-                )
+                # Backdate the start so the lane's wall time counts its own
+                # work and sweep share, not the other lanes' work.
+                start = time.perf_counter() - own - share
+                results[position] = self._finish(candidate, spec, run, start, False, backend)
         return list(results)
+
+    def _prepare(
+        self,
+        candidate: MappingCandidate,
+        evaluator: str,
+        start: float,
+        backend: str,
+    ) -> Union[CandidateEvaluation, Tuple[EquivalentModelSpec, bool]]:
+        """Specialise ``candidate`` and pick its path: ``(spec, steady)``.
+
+        An infeasible candidate comes back as its finished record instead.
+        """
+        try:
+            spec = self._specialize_for_evaluation(candidate)
+            missing = {b.relation for b in spec.boundary_inputs} - set(self.stimuli)
+            if missing:
+                raise ModelError(f"missing stimuli for external inputs: {sorted(missing)}")
+        except ReproError as error:
+            return self._finish(candidate, None, error, start, False, backend)
+        if evaluator == "replay":
+            return spec, False
+        reason = self._steady_gate(spec)
+        if reason is not None:
+            # The steady certificate cannot hold (aperiodic inputs or
+            # iteration-dependent durations): score by plain replay.
+            telemetry.count("dse.steady.fallbacks")
+            telemetry.count(f"dse.steady.fallback.{reason}")
+        return spec, reason is None
+
+    def _walk_graph(
+        self,
+        candidate: MappingCandidate,
+        spec: EquivalentModelSpec,
+        steady: bool,
+        start: float,
+        backend: str,
+    ) -> CandidateEvaluation:
+        """Score a prepared candidate by :meth:`_run` on its object graph."""
+        try:
+            run = self._run(spec, InstantComputer(spec, record_usage=True), steady)
+        except ReproError as error:
+            run = error
+        return self._finish(candidate, spec, run, start, steady, backend)
+
+    def _finish(
+        self,
+        candidate: MappingCandidate,
+        spec: Optional[EquivalentModelSpec],
+        run: Union[ReproError, None, ProgramResult],
+        start: float,
+        steady: bool,
+        backend: str,
+    ) -> CandidateEvaluation:
+        """Turn one lane's outcome into its recorded evaluation.
+
+        ``run`` is the ``(offers, actual, usage)`` result of a replay, the
+        :class:`~repro.errors.ReproError` that made the candidate infeasible,
+        or ``None`` when an output would be accepted later than computed
+        (boundary feedback), which only the explicit simulation handles.
+        """
+        if isinstance(run, ReproError):
+            # Mirror of evaluate_mapping wrapping model.run(): a workload or
+            # computation failure is an infeasibility fact, not a crash.  The
+            # record carries the requested backend even when no sweep ran, so
+            # a mixed-backend store is only reported when sweeps mixed.
+            return _record_evaluation(
+                CandidateEvaluation(
+                    candidate=candidate,
+                    infeasible=f"{type(run).__name__}: {run}",
+                    wall_seconds=time.perf_counter() - start,
+                    backend=backend,
+                )
+            )
+        if run is None:
+            telemetry.count("dse.compile.explicit_fallbacks")
+            return self._explicit_fallback(candidate)
+        offers, actual, usage = run
+        return _record_evaluation(
+            self._assemble(
+                candidate,
+                spec,
+                usage,
+                offers,
+                actual,
+                start,
+                evaluator="steady" if steady else "replay",
+                backend=backend,
+            )
+        )
 
     def _explicit_fallback(self, candidate: MappingCandidate) -> CandidateEvaluation:
         """Exact event-driven scoring (records its own evaluation telemetry)."""
-        return evaluate_mapping(
-            self.application,
-            self.platform,
-            candidate,
-            self.problem.stimuli_factory(self.parameters),
-            name=self._name,
-        )
+        return _evaluate_from_scratch(self.problem, candidate, self.parameters)
 
     # ------------------------------------------------------------------
-    # steady-state evaluation
+    # the object-graph replay, and steady-state evaluation
     # ------------------------------------------------------------------
     def _steady_gate(self, spec: EquivalentModelSpec) -> Optional[str]:
         """Why ``spec`` cannot be steady-evaluated, or ``None`` when it can.
@@ -716,10 +611,19 @@ class CompiledProblem:
                 return "data_dependent"
         return None
 
-    def _run_steady(self, spec: EquivalentModelSpec, computer: InstantComputer):
-        """Replay until the periodic regime is certified, then extrapolate.
+    def _run(
+        self, spec: EquivalentModelSpec, computer: InstantComputer, steady: bool = False
+    ) -> Optional[ProgramResult]:
+        """Replay the Reception/Emission protocol without the simulation kernel.
 
-        Same contract as :meth:`_run`.  The certificate has two halves:
+        Returns ``(offer instants per input, output instants per output, usage
+        instants per observation node)`` or ``None`` when the run needs the
+        event-driven harness (non-monotonic computed outputs, which trigger
+        boundary feedback).
+
+        With ``steady`` (the caller checked :meth:`_steady_gate`) the loop
+        replays only until the periodic regime is certified, then
+        extrapolates.  The certificate has two halves:
 
         * every node value drifted by the same ``c`` for ``max_delay + 1``
           consecutive iteration pairs, so the evaluator's whole ring state
@@ -743,151 +647,112 @@ class CompiledProblem:
         previous_exchange: Dict[str, Optional[int]] = {
             b.relation: None for b in boundary_inputs
         }
-        periods = {
-            b.relation: stimuli[b.relation].offer_period_ps() for b in boundary_inputs
-        }
         evaluator = computer.evaluator
         min_pairs = spec.graph.max_delay + 1
         prev_snapshot: Optional[List[Optional[int]]] = None
         streak_delta: Optional[int] = None
         streak = 0
+        replayed = iterations
 
-        now = 0
-        last_scheduled: Dict[str, int] = {}
-        for k in range(iterations):
-            instants: Dict[str, int] = {}
-            tokens: Dict[str, Optional[DataToken]] = {}
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                ready = computer.ready_instant(relation)
-                if ready is not None and ready > now:
-                    now = ready
-                stimulus = stimuli[relation]
-                scheduled = stimulus.offer_time(k).picoseconds
-                last_scheduled[relation] = scheduled
-                previous = previous_exchange[relation]
-                arrival = scheduled if previous is None or previous <= scheduled else previous
-                offers[relation].append(arrival)
-                if arrival > now:
-                    now = arrival
-                instants[relation] = now
-                tokens[relation] = stimulus.token(k)
-                previous_exchange[relation] = now
-            outputs = computer.compute_iteration(instants, tokens)
-            for relation in output_relations:
-                offered = outputs[relation]
-                emitted = actual[relation]
-                if offered is None or (emitted and offered < emitted[-1]):
-                    return None
-                emitted.append(offered)
-
-            # -- regime detection ------------------------------------------
-            snapshot = evaluator.values_snapshot()
-            delta = _uniform_delta(prev_snapshot, snapshot)
-            prev_snapshot = snapshot
-            if delta is None:
-                streak = 0
-                streak_delta = None
-                continue
-            if delta == streak_delta:
-                streak += 1
-            else:
-                streak_delta = delta
-                streak = 1
-            if streak < min_pairs or delta < 0 or k + 1 >= iterations:
-                continue
-            locked = True
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                period = periods[relation]
-                if delta == period:
-                    continue
-                if delta > period and instants[relation] > last_scheduled[relation] + period:
-                    continue
-                locked = False
-                break
-            if not locked:
-                continue
-
-            # -- certified: extrapolate the remaining iterations -----------
-            extra = iterations - (k + 1)
-            evaluator.extend_recorded(extra, delta)
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                sequence = offers[relation]
-                if delta == periods[relation]:
-                    # Schedule and exchanges shift together, so the arrival
-                    # branch is stable and the whole sequence drifts by c.
-                    sequence.extend(_arithmetic_tail(sequence[-1] + delta, delta, extra))
-                else:
-                    # Dominance-locked input: every future arrival is the
-                    # previous exchange.  The transition iteration may leave
-                    # the last *replayed* arrival on the schedule branch, so
-                    # anchor on the exchange instant, not on the last offer.
-                    sequence.extend(_arithmetic_tail(instants[relation], delta, extra))
-            for sequence in actual.values():
-                sequence.extend(_arithmetic_tail(sequence[-1] + delta, delta, extra))
-            telemetry.count("dse.compile.replay_steps", k + 1)
-            telemetry.count("dse.steady.extrapolations")
-            telemetry.count("dse.steady.extrapolated_steps", extra)
-            telemetry.gauge("dse.steady.cycle_ps", delta)
-            return offers, actual, iterations
-
-        # The horizon ended before the regime settled (or never settles);
-        # everything was replayed, so the result is the plain replay result.
-        telemetry.count("dse.compile.replay_steps", iterations)
-        telemetry.count("dse.steady.exhausted")
-        return offers, actual, iterations
-
-    # ------------------------------------------------------------------
-    def _run(self, spec: EquivalentModelSpec, computer: InstantComputer):
-        """Replay the Reception/Emission protocol without the simulation kernel.
-
-        Returns ``(offer instants per input, output instants per output,
-        iterations)`` or ``None`` when the run needs the event-driven harness
-        (non-monotonic computed outputs, which trigger boundary feedback).
-        """
-        stimuli = self.stimuli
-        boundary_inputs = spec.boundary_inputs
-        iterations = min(len(stimuli[b.relation]) for b in boundary_inputs)
-        output_relations = [b.relation for b in spec.boundary_outputs]
-        actual: Dict[str, List[int]] = {relation: [] for relation in output_relations}
-        offers: Dict[str, List[int]] = {b.relation: [] for b in boundary_inputs}
-        previous_exchange: Dict[str, Optional[int]] = {
-            b.relation: None for b in boundary_inputs
-        }
         now = 0  # the Reception process's local clock
-        for k in range(iterations):
-            instants: Dict[str, int] = {}
-            tokens: Dict[str, Optional[DataToken]] = {}
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                # Reception: wait until the abstracted consumer is ready.
-                ready = computer.ready_instant(relation)
-                if ready is not None and ready > now:
-                    now = ready
-                # Stimulus driver: resumes after its previous exchange, then
-                # waits for the scheduled offer time; u(k) is the later one.
-                stimulus = stimuli[relation]
-                scheduled = stimulus.offer_time(k).picoseconds
-                previous = previous_exchange[relation]
-                arrival = scheduled if previous is None or previous <= scheduled else previous
-                offers[relation].append(arrival)
-                # Rendezvous: the exchange completes when both sides arrived.
-                if arrival > now:
-                    now = arrival
-                instants[relation] = now
-                tokens[relation] = stimulus.token(k)
-                previous_exchange[relation] = now
-            outputs = computer.compute_iteration(instants, tokens)
-            for relation in output_relations:
-                offered = outputs[relation]
-                emitted = actual[relation]
-                if offered is None or (emitted and offered < emitted[-1]):
-                    return None
-                # Always-ready observer: the exchange happens at the offer.
-                emitted.append(offered)
-        return offers, actual, iterations
+        with telemetry.span(
+            "dse.compile.steady" if steady else "dse.compile.replay", category="dse"
+        ):
+            for k in range(iterations):
+                instants: Dict[str, int] = {}
+                tokens: Dict[str, Optional[DataToken]] = {}
+                for boundary in boundary_inputs:
+                    relation = boundary.relation
+                    # Reception: wait until the abstracted consumer is ready.
+                    ready = computer.ready_instant(relation)
+                    if ready is not None and ready > now:
+                        now = ready
+                    # Stimulus driver: resumes after its previous exchange,
+                    # then waits for the scheduled offer time; u(k) is the
+                    # later one.
+                    stimulus = stimuli[relation]
+                    scheduled = stimulus.offer_time(k).picoseconds
+                    previous = previous_exchange[relation]
+                    arrival = scheduled if previous is None or previous <= scheduled else previous
+                    offers[relation].append(arrival)
+                    # Rendezvous: the exchange completes when both sides arrived.
+                    if arrival > now:
+                        now = arrival
+                    instants[relation] = now
+                    tokens[relation] = stimulus.token(k)
+                    previous_exchange[relation] = now
+                outputs = computer.compute_iteration(instants, tokens)
+                for relation in output_relations:
+                    offered = outputs[relation]
+                    emitted = actual[relation]
+                    if offered is None or (emitted and offered < emitted[-1]):
+                        return None
+                    # Always-ready observer: the exchange happens at the offer.
+                    emitted.append(offered)
+                if not steady:
+                    continue
+
+                # -- regime detection --------------------------------------
+                snapshot = evaluator.values_snapshot()
+                delta = _uniform_delta(prev_snapshot, snapshot)
+                prev_snapshot = snapshot
+                if delta is None:
+                    streak = 0
+                    streak_delta = None
+                    continue
+                if delta == streak_delta:
+                    streak += 1
+                else:
+                    streak_delta = delta
+                    streak = 1
+                if streak < min_pairs or delta < 0 or k + 1 >= iterations:
+                    continue
+                locked = True
+                for boundary in boundary_inputs:
+                    relation = boundary.relation
+                    period = stimuli[relation].offer_period_ps()
+                    if delta == period:
+                        continue
+                    scheduled = stimuli[relation].offer_time(k).picoseconds
+                    if delta > period and instants[relation] > scheduled + period:
+                        continue
+                    locked = False
+                    break
+                if not locked:
+                    continue
+
+                # -- certified: extrapolate the remaining iterations -------
+                extra = iterations - (k + 1)
+                evaluator.extend_recorded(extra, delta)
+                for boundary in boundary_inputs:
+                    relation = boundary.relation
+                    sequence = offers[relation]
+                    if delta == stimuli[relation].offer_period_ps():
+                        # Schedule and exchanges shift together, so the
+                        # arrival branch is stable and the whole sequence
+                        # drifts by c.
+                        sequence.extend(_arithmetic_tail(sequence[-1] + delta, delta, extra))
+                    else:
+                        # Dominance-locked input: every future arrival is the
+                        # previous exchange.  The transition iteration may
+                        # leave the last *replayed* arrival on the schedule
+                        # branch, so anchor on the exchange instant, not on
+                        # the last offer.
+                        sequence.extend(_arithmetic_tail(instants[relation], delta, extra))
+                for sequence in actual.values():
+                    sequence.extend(_arithmetic_tail(sequence[-1] + delta, delta, extra))
+                replayed = k + 1
+                telemetry.count("dse.steady.extrapolations")
+                telemetry.count("dse.steady.extrapolated_steps", extra)
+                telemetry.gauge("dse.steady.cycle_ps", delta)
+                break
+            else:
+                if steady:
+                    # The horizon ended before the regime settled (or never
+                    # settles): everything was replayed.
+                    telemetry.count("dse.steady.exhausted")
+        telemetry.count("dse.compile.replay_steps", replayed)
+        return offers, actual, computer.usage_instants()
 
     # ------------------------------------------------------------------
     def _assemble(
@@ -897,7 +762,6 @@ class CompiledProblem:
         usage: Mapping[str, List[Optional[int]]],
         offers: Mapping[str, List[int]],
         actual: Mapping[str, List[int]],
-        iterations: int,
         start: float,
         evaluator: str = "replay",
         backend: str = "python",
@@ -938,8 +802,8 @@ class CompiledProblem:
         window_lo: Optional[int] = None
         window_hi: Optional[int] = None
         for entry in spec.execute_nodes:
-            starts = usage[entry.start_node][:iterations]
-            ends = usage[entry.end_node][:iterations]
+            starts = usage[entry.start_node]
+            ends = usage[entry.end_node]
             bucket = intervals.setdefault(entry.resource, [])
             if starts and None not in starts and None not in ends:
                 # Common case -- every iteration computed both instants:
@@ -1001,6 +865,16 @@ class CompiledProblem:
             f"CompiledProblem({self.problem.name!r}, "
             f"nodes={self.template.node_count})"
         )
+
+
+def _service_orders(
+    entry_map: Mapping[str, Tuple[int, Sequence[Any]]],
+) -> Dict[str, Tuple[int, Tuple[Tuple[str, int], ...]]]:
+    """Comparable form of ``scheduled_resource_entries``: concurrency and service order."""
+    return {
+        name: (concurrency, tuple((e.function, e.step_index) for e in entries))
+        for name, (concurrency, entries) in entry_map.items()
+    }
 
 
 def _arithmetic_tail(start: int, delta_ps: int, count: int) -> Sequence[int]:

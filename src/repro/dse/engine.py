@@ -29,8 +29,8 @@ Invariants:
   variable, and vectorises across candidates sharing a template.
 * **Lowering is conservative.**  Any weight that is not a constant or a
   :class:`_TabulatedWeight` stream (i.e. genuinely context-dependent)
-  refuses to lower (:class:`LoweringUnsupported`), and the caller falls
-  back to the object-graph replay -- never a silently wrong instant.
+  refuses to lower (:class:`LoweringUnsupported`), and the caller scores
+  that candidate by explicit simulation -- never a silently wrong instant.
 
 This module also owns :class:`_TabulatedWeight` and :class:`_TokenTable`
 (shared per-iteration duration/token streams), which
@@ -170,7 +170,7 @@ class LoweringUnsupported(Exception):
     """A specialised spec refused to lower to arrays (engine gate).
 
     ``reason`` is a short telemetry-friendly slug (e.g. ``dynamic_weight``);
-    the caller falls back to the object-graph replay, which handles every
+    the caller falls back to explicit simulation, which handles every
     weight protocol.
     """
 

@@ -149,6 +149,14 @@ def per_kind_summary(
     )
 
 
+def _check_evaluator(evaluator: str) -> None:
+    """Reject an ``evaluator`` mode outside :data:`EVALUATOR_MODES`."""
+    if evaluator not in EVALUATOR_MODES:
+        raise ModelError(
+            f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
+        )
+
+
 def _record_evaluation(evaluation: CandidateEvaluation) -> CandidateEvaluation:
     """Telemetry epilogue of one evaluation: counts plus a latency histogram."""
     telemetry.count("dse.evaluate.evaluations")
@@ -253,6 +261,22 @@ def evaluate_mapping(
     )
 
 
+def _evaluate_from_scratch(
+    problem: DesignProblem,
+    candidate: MappingCandidate,
+    parameters: Optional[Mapping[str, Any]] = None,
+) -> CandidateEvaluation:
+    """:func:`evaluate_mapping` on freshly built models of ``problem``."""
+    resolved = problem.parameters(parameters)
+    return evaluate_mapping(
+        problem.application_factory(resolved),
+        problem.platform_factory(resolved),
+        candidate,
+        problem.stimuli_factory(resolved),
+        name=f"dse-{problem.name}",
+    )
+
+
 def compile_enabled_by_default() -> bool:
     """Whether ``evaluate_candidate`` uses the compiled path (env override).
 
@@ -297,10 +321,7 @@ def evaluate_candidate(
     from-scratch path ignores it.  All combinations produce bit-identical
     objectives.
     """
-    if evaluator not in EVALUATOR_MODES:
-        raise ModelError(
-            f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
-        )
+    _check_evaluator(evaluator)
     if compiled is None:
         compiled = compile_enabled_by_default()
     if compiled:
@@ -312,14 +333,7 @@ def evaluate_candidate(
                 [candidate], evaluator=evaluator, backend=backend
             )[0]
         return compiled_prob.evaluate(candidate, evaluator=evaluator)
-    resolved = problem.parameters(parameters)
-    return evaluate_mapping(
-        problem.application_factory(resolved),
-        problem.platform_factory(resolved),
-        candidate,
-        problem.stimuli_factory(resolved),
-        name=f"dse-{problem.name}",
-    )
+    return _evaluate_from_scratch(problem, candidate, parameters)
 
 
 def evaluate_candidates(
@@ -341,10 +355,7 @@ def evaluate_candidates(
     with ``candidates`` and is bit-identical, instant for instant, to
     mapping :func:`evaluate_candidate` over the same list.
     """
-    if evaluator not in EVALUATOR_MODES:
-        raise ModelError(
-            f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
-        )
+    _check_evaluator(evaluator)
     candidates = list(candidates)
     if compiled is None:
         compiled = compile_enabled_by_default()
@@ -354,14 +365,4 @@ def evaluate_candidates(
         return compiled_problem(problem, parameters).evaluate_batch(
             candidates, evaluator=evaluator, backend=backend
         )
-    resolved = problem.parameters(parameters)
-    return [
-        evaluate_mapping(
-            problem.application_factory(resolved),
-            problem.platform_factory(resolved),
-            candidate,
-            problem.stimuli_factory(resolved),
-            name=f"dse-{problem.name}",
-        )
-        for candidate in candidates
-    ]
+    return [_evaluate_from_scratch(problem, candidate, parameters) for candidate in candidates]

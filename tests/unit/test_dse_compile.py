@@ -1,9 +1,12 @@
 """Unit tests for TDG template compilation (repro.dse.compile + core.builder split)."""
 
 import dataclasses
+import random
+import time
 
 import pytest
 
+from repro import telemetry
 from repro.archmodel import ArchitectureModel
 from repro.core.builder import build_equivalent_spec, build_template, specialize_template
 from repro.core.compute import InstantComputer
@@ -15,7 +18,10 @@ from repro.dse import (
     get_problem,
 )
 from repro.dse import compile as compile_module
+from repro.dse import evaluate as evaluate_module
 from repro.dse.compile import _CACHE
+from repro.dse.engine import LoweringUnsupported, numpy_available
+from repro.dse.problems import problem_names
 from repro.dse.space import MappingCandidate
 from repro.errors import ModelError
 
@@ -162,7 +168,9 @@ class TestCompiledProblem:
         # problem's own stimuli and still produce identical objectives.
         compiled = CompiledProblem(problem, {"items": 6})
         candidate = problem.space({"items": 6}).default_candidate()
-        monkeypatch.setattr(CompiledProblem, "_run", lambda self, spec, computer: None)
+        monkeypatch.setattr(
+            CompiledProblem, "_run", lambda self, spec, computer, steady=False: None
+        )
         fast = compiled.evaluate(candidate)
         slow = evaluate_candidate(problem, candidate, {"items": 6}, compiled=False)
         assert fast.feasible
@@ -183,7 +191,7 @@ class TestCompiledProblem:
 
         monkeypatch.setattr(InstantComputer, "compute_iteration", regressing)
         sentinel = CandidateEvaluation(candidate=candidate, infeasible="fallback-sentinel")
-        monkeypatch.setattr(compile_module, "evaluate_mapping", lambda *a, **k: sentinel)
+        monkeypatch.setattr(evaluate_module, "evaluate_mapping", lambda *a, **k: sentinel)
         assert compiled.evaluate(candidate) is sentinel
 
     def test_compiled_matches_uncompiled_on_fork_problem(self):
@@ -194,3 +202,96 @@ class TestCompiledProblem:
                 compiled.evaluate(candidate),
                 evaluate_candidate(fork, candidate, {"items": 6}, compiled=False),
             )
+
+
+NEEDS_NUMPY = pytest.mark.skipif(not numpy_available(), reason="numpy is not importable")
+BACKENDS = ["python", pytest.param("numpy", marks=NEEDS_NUMPY)]
+
+
+def random_candidates(problem, parameters, count, seed=11):
+    space = problem.space(parameters)
+    rng = random.Random(seed)
+    return [space.random_candidate(rng) for _ in range(count)]
+
+
+class TestBatchFallbacks:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_replay_fallback_lane_is_scored_explicitly(self, problem, backend, monkeypatch):
+        # A lane the sweep cannot finish (boundary feedback) is re-scored by
+        # explicit simulation; the other lanes keep their swept results.
+        parameters = {"items": 6}
+        candidates = list(problem.space(parameters).enumerate_candidates(limit=4))
+        original = compile_module.replay_batch
+
+        def dropping_second_lane(programs, backend):
+            runs = original(programs, backend)
+            runs[1] = None
+            return runs
+
+        monkeypatch.setattr(compile_module, "replay_batch", dropping_second_lane)
+        compiled = CompiledProblem(problem, parameters)
+        with telemetry.collect(enable=True) as scope:
+            results = compiled.evaluate_batch(candidates, backend=backend)
+            counters = scope.snapshot()["counters"]
+        assert_same_evaluation(
+            results[1], evaluate_candidate(problem, candidates[1], parameters, compiled=False)
+        )
+        backends = [evaluation.backend for evaluation in results]
+        assert backends == [backend, "python", backend, backend]
+        assert counters["dse.compile.explicit_fallbacks"] == 1
+        assert counters["dse.engine.replay_fallbacks"] == 1
+
+    def test_unlowerable_spec_is_scored_explicitly(self, problem, monkeypatch):
+        parameters = {"items": 6}
+        candidates = list(problem.space(parameters).enumerate_candidates(limit=3))
+
+        def refusing(*args, **kwargs):
+            raise LoweringUnsupported("dynamic_weight")
+
+        monkeypatch.setattr(compile_module, "lower_spec", refusing)
+        compiled = CompiledProblem(problem, parameters)
+        with telemetry.collect(enable=True) as scope:
+            results = compiled.evaluate_batch(candidates, backend="python")
+            counters = scope.snapshot()["counters"]
+        for candidate, evaluation in zip(candidates, results):
+            assert_same_evaluation(
+                evaluation,
+                evaluate_candidate(problem, candidate, parameters, compiled=False),
+            )
+        assert counters["dse.engine.lower_fallbacks"] == len(candidates)
+        assert counters["dse.engine.lower_fallback.dynamic_weight"] == len(candidates)
+        # Neither swept nor walked on the object graph: scored explicitly.
+        assert "dse.compile.replay_steps" not in counters
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", problem_names())
+    def test_registered_problems_never_fall_back(self, name, backend):
+        # Every registered problem lowers and sweeps every candidate: the
+        # lowering and replay fallbacks exist for specs no problem produces.
+        problem = get_problem(name)
+        parameters = {"items": 4}
+        candidates = random_candidates(problem, parameters, count=12)
+        compiled = CompiledProblem(problem, parameters)
+        with telemetry.collect(enable=True) as scope:
+            for evaluator in ("replay", "auto"):
+                compiled.evaluate_batch(candidates, evaluator=evaluator, backend=backend)
+            counters = scope.snapshot()["counters"]
+        assert counters.get("dse.engine.lower_fallbacks", 0) == 0
+        assert counters.get("dse.engine.replay_fallbacks", 0) == 0
+        assert counters.get("dse.compile.explicit_fallbacks", 0) == 0
+
+
+class TestBatchWallTime:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_candidate_wall_times_sum_within_the_batch(self, backend):
+        # Each swept candidate reports its own work plus a share of the one
+        # shared sweep, so a batch never claims more time than it took.
+        problem = get_problem("chain")
+        parameters = {"items": 40}
+        candidates = random_candidates(problem, parameters, count=24)
+        compiled = CompiledProblem(problem, parameters)
+        tick = time.perf_counter()
+        results = compiled.evaluate_batch(candidates, backend=backend)
+        elapsed = time.perf_counter() - tick
+        assert all(evaluation.wall_seconds > 0 for evaluation in results)
+        assert sum(evaluation.wall_seconds for evaluation in results) <= elapsed

@@ -16,6 +16,7 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
+from repro.dse.compile import _CACHE
 from repro.telemetry import (
     ConvergenceTrace,
     DurationHistogram,
@@ -294,14 +295,18 @@ class TestExporters:
 
 
 class TestCli:
-    def test_dse_run_trace_produces_loadable_artifacts(self, tmp_path, capsys):
+    # random scores one-job batches on the object graph, nsga2 sweeps whole
+    # generations: both must name their replay stage dse.compile.replay.
+    @pytest.mark.parametrize("strategy", ["random", "nsga2"])
+    def test_dse_run_trace_produces_loadable_artifacts(self, strategy, tmp_path, capsys):
+        _CACHE.clear()  # a cached compilation would skip the template span
         trace_path = tmp_path / "trace.json"
         code = main(
             [
                 "dse", "run",
                 "--problem", "didactic",
                 "--budget", "12",
-                "--strategy", "random",
+                "--strategy", strategy,
                 "--store", str(tmp_path / "store.jsonl"),
                 "--trace", str(trace_path),
                 "--quiet",
